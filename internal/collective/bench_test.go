@@ -30,8 +30,7 @@ func benchRing(b *testing.B, bytes float64) {
 			b.Fatal(err)
 		}
 		for rank := 0; rank < 8; rank++ {
-			rank := rank
-			e.Go("w", func(p *sim.Process) { g.AllReduce(p, rank, bytes) })
+			g.AllReduceAsync(rank, bytes)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

@@ -274,14 +274,6 @@ func (g *Group) AllReduceAsync(rank int, bytes float64) *sim.Signal {
 	return o.done
 }
 
-// AllReduce issues the collective and blocks the calling process until it
-// completes.
-//
-//lint:allow hotpath thin blocking wrapper for process-style callers; train's hot loop awaits AllReduceAsync continuations
-func (g *Group) AllReduce(p *sim.Process, rank int, bytes float64) {
-	p.Await(g.AllReduceAsync(rank, bytes))
-}
-
 func (g *Group) maybeStart() {
 	if g.executing || len(g.ready) == 0 {
 		return

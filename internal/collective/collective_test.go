@@ -52,6 +52,27 @@ func pcieMachine(n int, rootBW float64) topo.MachineSpec {
 	}
 }
 
+// rankTask spawns one rank's task: after delay it issues the collectives
+// that issue returns the last of, waits for that one to complete, and
+// raises *done to the completion instant.
+func rankTask(r *rig, delay time.Duration, done *time.Duration, issue func() *sim.Signal) {
+	var task *sim.Task
+	finish := func() {
+		if now := r.eng.Now(); now > *done {
+			*done = now
+		}
+		task.End()
+	}
+	start := func() { issue().OnFire(finish) }
+	task = r.eng.Spawn("worker", func() {
+		if delay > 0 {
+			task.After(delay, start)
+			return
+		}
+		start()
+	})
+}
+
 // runAllReduce has every rank issue one all-reduce of bytes and returns
 // the completion time.
 func runAllReduce(t *testing.T, r *rig, g *Group, bytes float64) time.Duration {
@@ -59,12 +80,7 @@ func runAllReduce(t *testing.T, r *rig, g *Group, bytes float64) time.Duration {
 	var done time.Duration
 	for rank := 0; rank < g.WorldSize(); rank++ {
 		rank := rank
-		r.eng.Go("worker", func(p *sim.Process) {
-			g.AllReduce(p, rank, bytes)
-			if t := p.Now(); t > done {
-				done = t
-			}
-		})
+		rankTask(r, 0, &done, func() *sim.Signal { return g.AllReduceAsync(rank, bytes) })
 	}
 	if err := r.eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -213,12 +229,9 @@ func TestCollectivesSerializeInOrder(t *testing.T) {
 	var done time.Duration
 	for rank := 0; rank < 4; rank++ {
 		rank := rank
-		r.eng.Go("worker", func(p *sim.Process) {
-			s1 := g.AllReduceAsync(rank, bytes)
-			s2 := g.AllReduceAsync(rank, bytes)
-			p.Await(s1)
-			p.Await(s2)
-			done = p.Now()
+		rankTask(r, 0, &done, func() *sim.Signal {
+			g.AllReduceAsync(rank, bytes)
+			return g.AllReduceAsync(rank, bytes)
 		})
 	}
 	if err := r.eng.Run(); err != nil {
@@ -251,15 +264,11 @@ func TestAllReduceWaitsForAllRanks(t *testing.T) {
 	var done time.Duration
 	for rank := 0; rank < 4; rank++ {
 		rank := rank
-		r.eng.Go("worker", func(p *sim.Process) {
-			if rank == 3 {
-				p.Sleep(time.Second) // straggler
-			}
-			g.AllReduce(p, rank, hw.MB)
-			if p.Now() > done {
-				done = p.Now()
-			}
-		})
+		var delay time.Duration
+		if rank == 3 {
+			delay = time.Second // straggler
+		}
+		rankTask(r, delay, &done, func() *sim.Signal { return g.AllReduceAsync(rank, hw.MB) })
 	}
 	if err := r.eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

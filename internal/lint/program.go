@@ -251,13 +251,6 @@ func (p *Program) recompute(ff *funcFacts) bool {
 					next.rearms[i] = true
 				}
 				return true
-			case sigAwait:
-				if len(v.Args) == 1 {
-					if i, ok := paramOf(v.Args[0]); ok {
-						next.clears[i] = true
-					}
-				}
-				return true
 			}
 			if r, k := mutexCallInfo(info, v); k == "Lock" || k == "RLock" {
 				if key := lockKeyFor(info, r); key != "" {
@@ -470,12 +463,9 @@ const (
 	sigOnFire
 	sigFire
 	sigRearm
-	sigAwait
 )
 
-// signalOp classifies sim.Signal waiter-lifecycle calls. Process.Await
-// counts as a clear: by the time Await returns, the signal has fired
-// and its waiter list is empty.
+// signalOp classifies sim.Signal waiter-lifecycle calls.
 func signalOp(fn *types.Func) sigOp {
 	if isMethodOn(fn, "internal/sim", "Signal", "OnFire") {
 		return sigOnFire
@@ -485,9 +475,6 @@ func signalOp(fn *types.Func) sigOp {
 	}
 	if isMethodOn(fn, "internal/sim", "Signal", "Rearm") {
 		return sigRearm
-	}
-	if isMethodOn(fn, "internal/sim", "Process", "Await") {
-		return sigAwait
 	}
 	return sigNone
 }

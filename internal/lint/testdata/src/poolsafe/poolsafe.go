@@ -223,10 +223,14 @@ func goodRearmAfterFire(e *sim.Engine) {
 	s.Rearm()
 }
 
-// Await returns only after the signal fired and drained its waiters.
-func goodRearmAfterAwait(p *sim.Process, s *sim.Signal) {
+func fireIt(s *sim.Signal) {
+	s.Fire()
+}
+
+// A callee that fires the signal drains its waiters too.
+func goodRearmAfterFireViaHelper(s *sim.Signal) {
 	s.OnFire(func() {})
-	p.Await(s)
+	fireIt(s)
 	s.Rearm()
 }
 

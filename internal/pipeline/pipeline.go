@@ -141,12 +141,11 @@ type Loader struct {
 	iterations int
 	queue      *sim.Queue[Batch]
 	credits    *sim.Resource
-	proc       *sim.Process
 }
 
 // NewLoader creates a dataloader that will produce the given number of
 // batches for job, uploading each decoded batch along uploadTo (the
-// host-to-GPU route). Call Start to spawn its producer process.
+// host-to-GPU route). Call Start to spawn its stage tasks.
 func (hp *HostPipeline) NewLoader(job workload.Job, uploadTo []*simnet.Link, iterations int) (*Loader, error) {
 	if iterations < 1 {
 		return nil, fmt.Errorf("pipeline: iterations %d < 1", iterations)
@@ -164,81 +163,160 @@ func (hp *HostPipeline) NewLoader(job workload.Job, uploadTo []*simnet.Link, ite
 	}, nil
 }
 
-// Start spawns the loader's stage processes. Fetch, prep and upload run
-// as a three-stage pipeline (as PyTorch DataLoader workers plus the
+// Start spawns the loader's stage tasks. Fetch, prep and upload run as a
+// three-stage pipeline (as PyTorch DataLoader workers plus the
 // pinned-memory uploader do), so steady-state loader throughput is set by
-// the slowest stage, not their sum. Name prefixes the process names.
+// the slowest stage, not their sum. Name prefixes the task names.
 func (l *Loader) Start(name string) {
+	eng := l.hp.eng
 	batch := float64(l.job.BatchPerGPU)
-	ds := l.job.Dataset
-	fetched := sim.NewQueue[Batch](l.hp.eng)
-	prepped := sim.NewQueue[Batch](l.hp.eng)
+	fetched := sim.NewQueue[Batch](eng)
+	prepped := sim.NewQueue[Batch](eng)
 
-	l.proc = l.hp.eng.Go(name+"/fetch", func(p *sim.Process) {
-		for i := 0; i < l.iterations; i++ {
-			l.credits.Acquire(p)
+	f := &fetcher{l: l, out: fetched}
+	f.cont = f.step
+	f.task = eng.Spawn(name+"/fetch", f.cont)
+
+	// Decode+augment on the shared CPU pool. The "bytes" of this flow are
+	// samples of standard prep work.
+	prep := &relay{net: l.hp.net, in: fetched, out: prepped, work: batch * l.job.Dataset.PrepCostFactor}
+	if prep.work > 0 {
+		prep.route = []*simnet.Link{l.hp.cpu}
+	}
+	prep.start(eng, name+"/prep")
+
+	// Upload the decoded batch to the GPU over PCIe.
+	upload := &relay{net: l.hp.net, in: prepped, out: l.queue, work: batch * l.job.Model.SampleBytes, route: l.uploadTo}
+	upload.start(eng, name+"/upload")
+}
+
+// fetchState is the fetch stage's position within one batch.
+type fetchState int
+
+const (
+	fetchCredit fetchState = iota // take a prefetch credit for the next batch
+	fetchRead                     // start reading the batch's cache misses
+	fetchPut                      // wait for the read, then hand the batch on
+)
+
+// fetcher is the fetch stage: per batch it takes a prefetch credit, reads
+// the batch's cache misses from the volume, and queues it for prep.
+type fetcher struct {
+	l     *Loader
+	task  *sim.Task
+	out   *sim.Queue[Batch]
+	state fetchState
+	i     int          // index of the batch being fetched
+	read  *simnet.Flow // the batch's byte read; nil when fully cached
+	cont  func()       // step, bound once per loader
+}
+
+// step advances the fetch stage until it waits or has fetched every
+// batch.
+func (f *fetcher) step() {
+	hp := f.l.hp
+	for {
+		switch f.state {
+		case fetchCredit:
+			if f.i == f.l.iterations {
+				f.out.Close()
+				f.task.End()
+				return
+			}
+			f.state = fetchRead
+			f.l.credits.AcquireFunc(f.cont)
+			return
+
+		case fetchRead:
 			// Read the encoded batch from the volume, minus cache hits.
 			// Bytes and read operations are separate budgets consumed
 			// concurrently; the slower one gates the fetch.
-			missFrac := 1 - l.hp.hitFraction(ds)
+			f.state = fetchPut
+			batch := float64(f.l.job.BatchPerGPU)
+			ds := f.l.job.Dataset
+			missFrac := 1 - hp.hitFraction(ds)
 			diskBytes := batch * ds.DiskBytesPerSample * missFrac
-			if diskBytes > 0 {
-				bytesFlow := l.hp.net.StartFlow(diskBytes, []*simnet.Link{l.hp.disk})
-				if l.hp.iops != nil {
-					opsFlow := l.hp.net.StartFlowLatency(batch*missFrac, []*simnet.Link{l.hp.iops}, 0)
-					p.Await(opsFlow.Done())
+			if diskBytes <= 0 {
+				continue
+			}
+			f.read = hp.net.StartFlow(diskBytes, []*simnet.Link{hp.disk})
+			if hp.iops != nil {
+				ops := hp.net.StartFlowLatency(batch*missFrac, []*simnet.Link{hp.iops}, 0)
+				if done := ops.Done(); !done.Fired() {
+					done.OnFire(f.cont)
+					return
 				}
-				p.Await(bytesFlow.Done())
 			}
-			fetched.Put(Batch{Index: i})
-		}
-		fetched.Close()
-	})
-	l.hp.eng.Go(name+"/prep", func(p *sim.Process) {
-		for {
-			b, ok := fetched.Get(p)
-			if !ok {
-				prepped.Close()
-				return
-			}
-			// Decode+augment on the shared CPU pool. The "bytes" of this
-			// flow are samples of standard prep work.
-			if prepWork := batch * ds.PrepCostFactor; prepWork > 0 {
-				l.hp.net.Transfer(p, prepWork, []*simnet.Link{l.hp.cpu})
-			}
-			prepped.Put(b)
-		}
-	})
-	l.hp.eng.Go(name+"/upload", func(p *sim.Process) {
-		for {
-			b, ok := prepped.Get(p)
-			if !ok {
-				l.queue.Close()
-				return
-			}
-			// Upload the decoded batch to the GPU over PCIe.
-			l.hp.net.Transfer(p, batch*l.job.Model.SampleBytes, l.uploadTo)
-			l.queue.Put(b)
-		}
-	})
-}
 
-// Next blocks the consumer until a batch is ready; ok is false after the
-// final batch. The time spent blocked here is the worker's fetch+prep
-// stall.
-func (l *Loader) Next(p *sim.Process) (Batch, bool) {
-	b, ok := l.queue.Get(p)
-	if ok {
-		l.credits.Release()
+		case fetchPut:
+			if f.read != nil {
+				if done := f.read.Done(); !done.Fired() {
+					done.OnFire(f.cont)
+					return
+				}
+				f.read = nil
+			}
+			f.out.Put(Batch{Index: f.i})
+			f.i++
+			f.state = fetchCredit
+		}
 	}
-	return b, ok
 }
 
-// NextFunc is Next for continuation-style consumers: fn receives the next
-// batch synchronously when one is buffered, otherwise when the upload
-// stage produces it. The prefetch credit is returned before fn runs,
-// exactly as Next returns it before its caller resumes, so the producer
-// side observes an identical event sequence either way.
+// relay is the prep or the upload stage: it takes each batch from in,
+// moves work units over route as one flow, and queues the batch on out.
+// A nil route passes batches straight through. When in is closed and
+// drained, the relay closes out and ends.
+type relay struct {
+	net     *simnet.Network
+	task    *sim.Task
+	in, out *sim.Queue[Batch]
+	work    float64
+	route   []*simnet.Link
+
+	held   bool  // batch has been moved and waits to be queued on out
+	batch  Batch // the batch in flight
+	cont   func()
+	onItem func(Batch, bool)
+}
+
+func (s *relay) start(eng *sim.Engine, name string) {
+	s.cont = s.step
+	s.onItem = s.receive
+	s.task = eng.Spawn(name, s.cont)
+}
+
+// step queues the batch the relay holds, if any, and asks for the next.
+func (s *relay) step() {
+	if s.held {
+		s.held = false
+		s.out.Put(s.batch)
+	}
+	s.in.GetFunc(s.onItem)
+}
+
+// receive starts moving a batch taken from in.
+func (s *relay) receive(b Batch, ok bool) {
+	if !ok {
+		s.out.Close()
+		s.task.End()
+		return
+	}
+	s.batch, s.held = b, true
+	if s.route != nil {
+		if done := s.net.StartFlow(s.work, s.route).Done(); !done.Fired() {
+			done.OnFire(s.cont)
+			return
+		}
+	}
+	s.step()
+}
+
+// NextFunc hands the consumer its next batch: fn receives it
+// synchronously when one is buffered, otherwise when the upload stage
+// produces it; ok is false after the final batch. The time until fn runs
+// is the worker's fetch+prep stall. The prefetch credit is returned
+// before fn runs.
 func (l *Loader) NextFunc(fn func(Batch, bool)) {
 	l.queue.GetFunc(func(b Batch, ok bool) {
 		if ok {

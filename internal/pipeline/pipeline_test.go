@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,24 +54,42 @@ func defaultCfg() Config {
 	}
 }
 
-// consume drains n batches, sleeping computeTime per batch, and returns
-// the total elapsed virtual time.
-func (r *testRig) consume(t *testing.T, l *Loader, computeTime time.Duration) time.Duration {
+// consumption records what the consumers of a run observed.
+type consumption struct {
+	delivered [][]time.Duration // per loader, the instant each batch arrived
+	done      []time.Duration   // per loader, the instant its consumer saw the end
+	order     string            // loader index of every delivery, in dispatch order
+}
+
+// consume runs one Task consumer per loader: each takes a batch through
+// NextFunc, computes for computeTime, and asks again until its loader is
+// exhausted.
+func (r *testRig) consume(t *testing.T, computeTime time.Duration, loaders ...*Loader) consumption {
 	t.Helper()
-	var elapsed time.Duration
-	r.eng.Go("consumer", func(p *sim.Process) {
-		for {
-			if _, ok := l.Next(p); !ok {
-				break
+	c := consumption{delivered: make([][]time.Duration, len(loaders)), done: make([]time.Duration, len(loaders))}
+	var order strings.Builder
+	for i, l := range loaders {
+		i, l := i, l
+		var task *sim.Task
+		var next func()
+		onBatch := func(_ Batch, ok bool) {
+			if !ok {
+				c.done[i] = r.eng.Now()
+				task.End()
+				return
 			}
-			p.Sleep(computeTime)
+			c.delivered[i] = append(c.delivered[i], r.eng.Now())
+			fmt.Fprint(&order, i)
+			r.eng.Schedule(computeTime, next)
 		}
-		elapsed = p.Now()
-	})
+		next = func() { l.NextFunc(onBatch) }
+		task = r.eng.Spawn(fmt.Sprintf("consumer-%d", i), next)
+	}
 	if err := r.eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return elapsed
+	c.order = order.String()
+	return c
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -109,7 +129,7 @@ func TestWarmCacheSkipsDisk(t *testing.T) {
 		t.Fatalf("NewLoader: %v", err)
 	}
 	l.Start("loader")
-	r.consume(t, l, time.Millisecond)
+	r.consume(t, time.Millisecond, l)
 	if got := r.hp.DiskLink().BytesCarried(); got != 0 {
 		t.Errorf("warm cache read %v bytes from disk, want 0", got)
 	}
@@ -125,7 +145,7 @@ func TestColdCacheReadsEverything(t *testing.T) {
 		t.Fatalf("NewLoader: %v", err)
 	}
 	l.Start("loader")
-	r.consume(t, l, time.Millisecond)
+	r.consume(t, time.Millisecond, l)
 	want := float64(iters) * 32 * job.Dataset.DiskBytesPerSample
 	got := r.hp.DiskLink().BytesCarried()
 	if diff := got - want; diff > 1 || diff < -1 {
@@ -145,7 +165,7 @@ func TestPartialCacheReducesDiskTraffic(t *testing.T) {
 		t.Fatalf("NewLoader: %v", err)
 	}
 	l.Start("loader")
-	r.consume(t, l, time.Millisecond)
+	r.consume(t, time.Millisecond, l)
 	full := float64(iters) * 32 * job.Dataset.DiskBytesPerSample
 	got := r.hp.DiskLink().BytesCarried()
 	if got <= 0.4*full || got >= 0.6*full {
@@ -165,7 +185,7 @@ func TestSlowConsumerSeesNoStall(t *testing.T) {
 		t.Fatalf("NewLoader: %v", err)
 	}
 	l.Start("loader")
-	total := r.consume(t, l, compute)
+	total := r.consume(t, compute, l).done[0]
 	ideal := time.Duration(iters) * compute
 	if total > ideal+ideal/10 {
 		t.Errorf("total = %v, want close to compute-bound %v", total, ideal)
@@ -184,7 +204,7 @@ func TestFastConsumerStallsOnColdDisk(t *testing.T) {
 		t.Fatalf("NewLoader: %v", err)
 	}
 	l.Start("loader")
-	total := r.consume(t, l, time.Millisecond)
+	total := r.consume(t, time.Millisecond, l).done[0]
 	byteSeconds := float64(iters) * 128 * job.Dataset.DiskBytesPerSample / hw.GP2SSD.Throughput
 	iopsSeconds := float64(iters) * 128 / hw.GP2SSD.IOPS
 	diskSeconds := math.Max(byteSeconds, iopsSeconds)
@@ -211,22 +231,7 @@ func TestTwoLoadersContendOnDisk(t *testing.T) {
 			loaders = append(loaders, l)
 		}
 		var max time.Duration
-		done := make([]time.Duration, nLoaders)
-		for i, l := range loaders {
-			i, l := i, l
-			r.eng.Go("consumer", func(p *sim.Process) {
-				for {
-					if _, ok := l.Next(p); !ok {
-						break
-					}
-					p.Sleep(time.Millisecond)
-				}
-				done[i] = p.Now()
-			})
-		}
-		if err := r.eng.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		done := r.consume(t, time.Millisecond, loaders...).done
 		for _, d := range done {
 			if d > max {
 				max = d
@@ -252,7 +257,7 @@ func TestPrepUsesCPUPool(t *testing.T) {
 		t.Fatalf("NewLoader: %v", err)
 	}
 	l.Start("loader")
-	total := r.consume(t, l, time.Millisecond)
+	total := r.consume(t, time.Millisecond, l).done[0]
 	prepSeconds := float64(iters*batch) / 100
 	if total.Seconds() < prepSeconds || total.Seconds() > prepSeconds*1.2 {
 		t.Errorf("total = %v, want ~%vs (prep-bound)", total, prepSeconds)

@@ -186,20 +186,23 @@ func TestPerGPUBandwidthDropsWithContention(t *testing.T) {
 	}
 }
 
-func TestTransferBlocksProcess(t *testing.T) {
+func TestFlowDoneWakesTask(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e)
 	l := n.NewLink("link", 1*gb, 0)
 	var elapsed time.Duration
-	e.Go("sender", func(p *sim.Process) {
-		n.Transfer(p, 2*gb, []*Link{l})
-		elapsed = p.Now()
+	var task *sim.Task
+	task = e.Spawn("sender", func() {
+		n.StartFlow(2*gb, []*Link{l}).Done().OnFire(func() {
+			elapsed = e.Now()
+			task.End()
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if got := elapsed.Seconds(); !almostEqual(got, 2, 1e-6) {
-		t.Errorf("Transfer returned at %vs, want 2s", got)
+		t.Errorf("flow completion woke the task at %vs, want 2s", got)
 	}
 }
 

@@ -37,15 +37,15 @@
 #                   every sample so consumers can take min/median of the
 #                   non-warmup ones)
 #   FILTER          -bench regexp          (default Suite|RingAllReduce|
-#                   EventDispatch|ProcessSwitch|TaskSwitch|Barrier|
-#                   FlowLifecycle|BlameAttribute)
+#                   EventDispatch|TaskSwitch|FlowLifecycle|
+#                   BlameAttribute)
 set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1x}"
 MICRO_BENCHTIME="${MICRO_BENCHTIME:-0.5s}"
 COUNT="${COUNT:-3}"
-FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|ProcessSwitch|TaskSwitch|Barrier|FlowLifecycle|BlameAttribute|TableRender}"
+FILTER="${FILTER:-SuiteSerial|SuiteParallel|RingAllReduce|EventDispatch|TaskSwitch|FlowLifecycle|BlameAttribute|TableRender}"
 # The effective scheduler width: parallel_speedup (SuiteSerial /
 # SuiteParallel) is only meaningful when the parallel suite actually had
 # more than one P to run on, so single-P hosts record gomaxprocs and
