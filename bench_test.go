@@ -10,13 +10,13 @@ import (
 	"stash/internal/report"
 )
 
-// benchCfg returns a per-iteration configuration. Distinct seeds defeat
-// the shared result cache so every bench iteration performs the full
+// benchCfg returns the default configuration at the given parallelism
+// with a private, cold pool, so every bench iteration performs the full
 // simulation work.
-func benchCfg(i int) experiments.Config {
+func benchCfg(parallelism int) experiments.Config {
 	cfg := experiments.DefaultConfig()
-	cfg.Seed = int64(i + 1)
-	return cfg
+	cfg.Parallelism = parallelism
+	return cfg.WithPool()
 }
 
 // runExperiment executes a registered experiment b.N times and reports
@@ -32,7 +32,7 @@ func runExperiment(b *testing.B, id string) []*report.Table {
 	var out []*report.Table
 	cells := 0
 	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(benchCfg(i))
+		tables, err := e.Run(benchCfg(0))
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
@@ -163,20 +163,14 @@ func BenchmarkClaims(b *testing.B) {
 // dispatches contiguous per-worker batches (core.ForEachCtx), so each
 // worker's simulate calls hit the same per-P pooled simContext — engine,
 // network and provisioner scratch recycled across cells instead of
-// reallocated. Each variant gets its own seed space: the shared profiler
-// is keyed by {iterations, seed} and lives for the whole process, so
-// reusing seeds would hand the second bench a warm scenario cache and
-// fake the comparison.
-func benchSuite(b *testing.B, parallelism int, seedBase int64) {
+// reallocated. Every iteration sweeps on its own cold pool.
+func benchSuite(b *testing.B, parallelism int) {
 	b.Helper()
 	reg := experiments.Registry()
 	cells := 0
 	for i := 0; i < b.N; i++ {
-		cfg := benchCfg(i)
-		cfg.Seed = seedBase + int64(i)
-		cfg.Parallelism = parallelism
 		cells = 0
-		for _, r := range experiments.RunMany(cfg, reg) {
+		for _, r := range experiments.RunMany(benchCfg(parallelism), reg) {
 			if r.Err != nil {
 				b.Fatalf("%s: %v", r.Experiment.ID, r.Err)
 			}
@@ -190,10 +184,9 @@ func benchSuite(b *testing.B, parallelism int, seedBase int64) {
 
 // BenchmarkSuiteSerial is the full evaluation at Parallelism=1 — the
 // pre-scheduler serial path.
-func BenchmarkSuiteSerial(b *testing.B) { benchSuite(b, 1, 1<<20) }
+func BenchmarkSuiteSerial(b *testing.B) { benchSuite(b, 1) }
 
 // BenchmarkSuiteParallel is the full evaluation at Parallelism=NumCPU.
-// At equal seeds its table output is byte-identical to the serial run
-// (TestParallelOutputByteIdentical); here the seed spaces are disjoint
-// so neither bench inherits the other's scenario cache.
-func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, runtime.NumCPU(), 2<<20) }
+// Its table output is byte-identical to the serial run
+// (TestParallelOutputByteIdentical).
+func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, runtime.NumCPU()) }

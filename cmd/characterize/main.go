@@ -91,7 +91,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg := experiments.Config{Iterations: *iters, Seed: *seed, Parallelism: *parallel}
+	cfg := experiments.Config{Iterations: *iters, Seed: *seed, Parallelism: *parallel}.WithPool()
 	start := time.Now() //lint:allow wallclock CLI wall-time progress line, never enters a stall table
 	for _, r := range experiments.RunMany(cfg, selected) {
 		if r.Err != nil {
@@ -109,7 +109,7 @@ func run(args []string) error {
 	if *verbose {
 		fmt.Printf("# scheduler: %v (wall %v)\n",
 			//lint:allow wallclock verbose-only scheduler wall time, not part of any table
-			experiments.SchedulerStats(cfg), time.Since(start).Round(time.Millisecond))
+			cfg.Pool.Stats(), time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

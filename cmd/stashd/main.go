@@ -36,9 +36,10 @@
 //	GET    /healthz?deep=1          bounded invariant audit + live pool checks
 //	GET    /metrics                 Prometheus text counters
 //
-// All requests share one single-flight memoized profiler, so repeated
-// and concurrent requests for overlapping scenarios simulate each
-// distinct scenario exactly once. Jobs are scoped to the tenant named
+// The server owns two single-flight memoized profilers (one for
+// profile/recommend/blame, one for experiments), so repeated and
+// concurrent requests for overlapping scenarios simulate each distinct
+// scenario exactly once. Jobs are scoped to the tenant named
 // by the X-Stash-Tenant header and scheduled by a two-level weighted
 // fair queue on a worker pool separate from the v1 concurrency gate.
 // On SIGTERM/SIGINT the server rejects new jobs, cancels queued ones,
@@ -75,46 +76,73 @@ func main() {
 	}
 }
 
+// config holds stashd's parsed flags.
+type config struct {
+	addr             string
+	iters            int
+	expIters         int
+	seed             int64
+	parallel         int
+	maxConc          int
+	reqTimeout       time.Duration
+	drainTimeout     time.Duration
+	jobWorkers       int
+	jobTTL           time.Duration
+	maxJobs          int
+	tenantQuota      int
+	tenantWeights    string
+	peers            string
+	clusterAddr      string
+	clusterAdvertise string
+}
+
+// newFlagSet declares stashd's flags, storing their values in c.
+func newFlagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("stashd", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":8321", "listen address")
+	fs.IntVar(&c.iters, "iters", core.DefaultIterations, "profiling iterations per scenario (profile/recommend)")
+	fs.IntVar(&c.expIters, "exp-iters", experiments.DefaultConfig().Iterations, "profiling iterations per scenario (experiments)")
+	fs.Int64Var(&c.seed, "seed", 1, "provisioning seed")
+	fs.IntVar(&c.parallel, "parallel", 0, "per-request worker pool size (0 or negative = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&c.maxConc, "max-concurrent", runtime.GOMAXPROCS(0), "concurrent heavy requests (profile/recommend/experiment)")
+	fs.DurationVar(&c.reqTimeout, "request-timeout", api.DefaultRequestTimeout, "per-request deadline")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain window")
+	fs.IntVar(&c.jobWorkers, "job-workers", api.DefaultJobWorkers, "v2 job executor pool size")
+	fs.DurationVar(&c.jobTTL, "job-ttl", api.DefaultJobTTL, "retention window for terminal v2 jobs")
+	fs.IntVar(&c.maxJobs, "max-jobs", api.DefaultJobStoreMax, "v2 job store capacity (live + retained terminal jobs)")
+	fs.IntVar(&c.tenantQuota, "tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs per tenant")
+	fs.StringVar(&c.tenantWeights, "tenant-weights", "", "fair-queue tenant weights as name=w,name=w (default weight 1)")
+	fs.StringVar(&c.peers, "peers", "", "cluster replica base URLs, comma-separated (this replica included); empty = standalone")
+	fs.StringVar(&c.clusterAddr, "cluster-addr", ":8322", "cluster peer-protocol listen address (with -peers)")
+	fs.StringVar(&c.clusterAdvertise, "cluster-advertise", "", "URL peers reach this replica's cluster listener at (default http://<cluster-addr>)")
+	return fs
+}
+
 // run starts the service and blocks until the listener fails or ctx is
 // cancelled (the signal context in main); it then drains in-flight
 // requests before returning.
 func run(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stashd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8321", "listen address")
-	iters := fs.Int("iters", core.DefaultIterations, "profiling iterations per scenario (profile/recommend)")
-	expIters := fs.Int("exp-iters", experiments.DefaultConfig().Iterations, "profiling iterations per scenario (experiments)")
-	seed := fs.Int64("seed", 1, "provisioning seed")
-	parallel := fs.Int("parallel", 0, "per-request worker pool size (0 or negative = GOMAXPROCS, 1 = serial)")
-	maxConc := fs.Int("max-concurrent", runtime.GOMAXPROCS(0), "concurrent heavy requests (profile/recommend/experiment)")
-	reqTimeout := fs.Duration("request-timeout", api.DefaultRequestTimeout, "per-request deadline")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window")
-	jobWorkers := fs.Int("job-workers", api.DefaultJobWorkers, "v2 job executor pool size")
-	jobTTL := fs.Duration("job-ttl", api.DefaultJobTTL, "retention window for terminal v2 jobs")
-	maxJobs := fs.Int("max-jobs", api.DefaultJobStoreMax, "v2 job store capacity (live + retained terminal jobs)")
-	tenantQuota := fs.Int("tenant-quota", api.DefaultTenantQuota, "concurrent live (queued+running) v2 jobs per tenant")
-	tenantWeights := fs.String("tenant-weights", "", "fair-queue tenant weights as name=w,name=w (default weight 1)")
-	peers := fs.String("peers", "", "cluster replica base URLs, comma-separated (this replica included); empty = standalone")
-	clusterAddr := fs.String("cluster-addr", ":8322", "cluster peer-protocol listen address (with -peers)")
-	clusterAdvertise := fs.String("cluster-advertise", "", "URL peers reach this replica's cluster listener at (default http://<cluster-addr>)")
+	var c config
+	fs := newFlagSet(&c)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	weights, err := parseTenantWeights(*tenantWeights)
+	weights, err := parseTenantWeights(c.tenantWeights)
 	if err != nil {
 		return err
 	}
 
 	opts := []api.Option{
-		api.WithIterations(*iters),
-		api.WithExperimentIterations(*expIters),
-		api.WithSeed(*seed),
-		api.WithParallelism(*parallel),
-		api.WithMaxConcurrent(*maxConc),
-		api.WithRequestTimeout(*reqTimeout),
-		api.WithJobWorkers(*jobWorkers),
-		api.WithJobTTL(*jobTTL),
-		api.WithJobStoreMax(*maxJobs),
-		api.WithTenantQuota(*tenantQuota),
+		api.WithIterations(c.iters),
+		api.WithExperimentIterations(c.expIters),
+		api.WithSeed(c.seed),
+		api.WithParallelism(c.parallel),
+		api.WithMaxConcurrent(c.maxConc),
+		api.WithRequestTimeout(c.reqTimeout),
+		api.WithJobWorkers(c.jobWorkers),
+		api.WithJobTTL(c.jobTTL),
+		api.WithJobStoreMax(c.maxJobs),
+		api.WithTenantQuota(c.tenantQuota),
 	}
 	for _, tw := range weights {
 		opts = append(opts, api.WithTenantWeight(tw.name, tw.weight))
@@ -125,16 +153,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// so operator traffic and replica traffic never share a port.
 	var node *cluster.Node
 	var clusterLn net.Listener
-	if *peers != "" {
-		clusterLn, err = net.Listen("tcp", *clusterAddr)
+	if c.peers != "" {
+		clusterLn, err = net.Listen("tcp", c.clusterAddr)
 		if err != nil {
 			return err
 		}
-		self := *clusterAdvertise
+		self := c.clusterAdvertise
 		if self == "" {
 			self = "http://" + clusterLn.Addr().String()
 		}
-		node, err = cluster.New(cluster.Config{Self: self, Peers: strings.Split(*peers, ",")})
+		node, err = cluster.New(cluster.Config{Self: self, Peers: strings.Split(c.peers, ",")})
 		if err != nil {
 			clusterLn.Close()
 			return err
@@ -148,7 +176,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		if clusterLn != nil {
 			clusterLn.Close()
@@ -185,7 +213,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	fmt.Fprintln(out, "stashd: shutting down, draining jobs and in-flight requests")
 	//lint:allow ctxflow the serve ctx is already cancelled here; the drain deadline must outlive it
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
 	defer cancel()
 	// Drain order matters: first announce draining to peers and hand
 	// queued stolen cells back to their owners (node.Drain), then settle

@@ -3,8 +3,12 @@ package main
 import (
 	"bufio"
 	"context"
+	"flag"
 	"io"
 	"net/http"
+	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,4 +82,47 @@ func TestRunListenError(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "127.0.0.1:notaport"}, io.Discard); err == nil {
 		t.Fatal("bad address should fail")
 	}
+}
+
+// TestOperationsFlagsTable pins docs/OPERATIONS.md's flags table to the
+// flags run declares: every flag has a row, every row names a flag, and
+// every default the table states literally equals the flag's default.
+// GOMAXPROCS is the one symbolic default.
+func TestOperationsFlagsTable(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := newFlagSet(new(config))
+	rows := map[string]string{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 5 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`-") {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`-")
+		def := strings.Trim(strings.TrimSpace(cells[2]), "`")
+		rows[name] = def
+		f := fs.Lookup(name)
+		if f == nil {
+			t.Errorf("OPERATIONS.md documents -%s, which stashd does not declare", name)
+			continue
+		}
+		got := def
+		if def == "GOMAXPROCS" {
+			got = strconv.Itoa(runtime.GOMAXPROCS(0))
+		} else if _, isDur := f.Value.(flag.Getter).Get().(time.Duration); isDur {
+			if d, err := time.ParseDuration(def); err == nil {
+				got = d.String() // the table writes 60s for the flag's 1m0s
+			}
+		}
+		if got != f.DefValue {
+			t.Errorf("OPERATIONS.md says -%s defaults to %q; the flag's default is %q", name, def, f.DefValue)
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if _, ok := rows[f.Name]; !ok {
+			t.Errorf("-%s has no row in OPERATIONS.md's flags table", f.Name)
+		}
+	})
 }

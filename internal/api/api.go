@@ -3,15 +3,18 @@
 // as a JSON request/response API (see docs/API.md for the full
 // contract).
 //
-// The server holds one shared single-flight profiler — the same
-// memoized scenario cache the parallel experiment suite uses — so every
-// request that needs a scenario another request already simulated gets
-// it for free, and concurrent requests for the same scenario run
-// exactly one simulation. Because the substrate is a deterministic
-// simulator, every /v1 response is byte-stable for a given server
-// configuration: two servers with the same flags return identical
-// bytes for identical requests, which is what lets docs/API.md embed
-// verified example responses.
+// The server owns two single-flight profilers: one behind /v1/profile,
+// /v1/recommend and /v1/blame, and one (experiments.Config.Pool) behind
+// the paper artifacts. Each is that server's scenario cache and no
+// other server's, so every request that needs a scenario another
+// request already simulated gets it for free, and concurrent requests
+// for the same scenario run exactly one simulation. Standalone and
+// cluster servers build both pools the same way; cluster mode only
+// attaches a remote resolver to each. Because the substrate is a
+// deterministic simulator, every /v1 response is byte-stable for a
+// given server configuration: two servers with the same flags return
+// identical bytes for identical requests, which is what lets
+// docs/API.md embed verified example responses.
 //
 // Operational behavior:
 //
@@ -185,23 +188,15 @@ func New(opts ...Option) *Server {
 		Iterations:  s.expIterations,
 		Seed:        s.seed,
 		Parallelism: s.parallelism,
-	}
+	}.WithPool()
 	if s.clusterNode != nil {
-		// Cluster mode: the experiments pool must be private to this
-		// server (not the process-wide shared profiler), so each replica
-		// owns exactly its own cache and counters; both pools consult
-		// the ring on cache misses.
-		s.expCfg.Pool = core.New(
-			core.WithIterations(s.expIterations),
-			core.WithSeed(s.seed),
-			core.WithParallelism(s.parallelism),
-		)
+		// Cluster mode: both pools consult the ring on cache misses.
 		s.profiler.SetRemote(s.clusterNode.Resolver("profile"))
 		s.expCfg.Pool.SetRemote(s.clusterNode.Resolver("experiments"))
 	}
 	s.sem = make(chan struct{}, s.maxConcurrent)
 	s.jobsStore = newJobStore(s.jobWorkers, s.jobTTL, s.jobStoreMax, s.tenantQuota, s.tenantWeights)
-	s.metrics = newMetrics(s.profiler, s.expCfg, s.jobsStore, s.clusterNode)
+	s.metrics = newMetrics(s.profiler, s.expCfg.Pool, s.jobsStore, s.clusterNode)
 	s.jobsStore.start(s.executeJob)
 	if s.clusterNode != nil {
 		s.clusterNode.Start(s.clusterBackend())
@@ -392,7 +387,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	// The bounded slice audits a private profiler; the live pools get
 	// the mid-flight conservation check (other requests may be running).
-	for _, st := range []core.Stats{s.profiler.Stats(), experiments.SchedulerStats(s.expCfg)} {
+	for _, st := range []core.Stats{s.profiler.Stats(), s.expCfg.Pool.Stats()} {
 		live := audit.CheckStatsLive(st)
 		res.Checks += live.Checks
 		res.Violations = append(res.Violations, live.Violations...)
@@ -401,7 +396,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// counters of each pool (mirrored by core.WithTenant) and the job
 	// lifecycle counters of the v2 store. A fresh server has no tenants
 	// and adds no checks here.
-	for _, pool := range []map[string]core.Stats{s.profiler.TenantStats(), experiments.SchedulerTenantStats(s.expCfg)} {
+	for _, pool := range []map[string]core.Stats{s.profiler.TenantStats(), s.expCfg.Pool.TenantStats()} {
 		for _, name := range sortedKeys(pool) {
 			live := audit.CheckStatsLive(pool[name])
 			res.Checks += live.Checks

@@ -87,30 +87,25 @@ func TestHealthzDeepTimeout(t *testing.T) {
 	}
 }
 
-// TestMetricsExperimentsPoolMonotonicUnderScrape is the metrics-scrape
-// regression test: a dashboard scraping many stashd servers (each with
-// its own experiment configuration, all sharing the process-wide
-// profiler LRU) must not disturb one server's experiments-pool
-// counters. Pre-fix, every scrape allocated a profiler for the scraped
-// configuration, so enough foreign scrapes evicted the active profiler
-// and the next scrape of the active server reported freshly zeroed
-// counters — a counter reset with no restart. Run under -race this also
+// TestMetricsExperimentsPoolMonotonicUnderScrape: /metrics scrapes
+// only read. While a sweep runs on one server, repeated scrapes of it
+// and of other servers in the same process (same flags) must see its
+// experiments-pool counters only ever grow. Run under -race this also
 // guards the scrape path against data races with a live sweep.
 func TestMetricsExperimentsPoolMonotonicUnderScrape(t *testing.T) {
-	const series = `stashd_scenarios_simulated_total{pool="experiments"}`
+	const (
+		simulated = `stashd_scenarios_simulated_total{pool="experiments"}`
+		requests  = `stashd_scenario_requests_total{pool="experiments"}`
+	)
 	// The swept server gets a generous deadline: the fig4 sweep is
 	// seconds normally but can exceed the default request timeout under
 	// -race on a loaded single-core runner, and a 504 here would abort
 	// the regression check before it observes anything.
 	_, main := newTestServer(t, WithSeed(7100), WithRequestTimeout(5*time.Minute))
-
-	// More foreign servers than the shared-profiler LRU holds (the cap
-	// is an experiments-internal constant; a dozen distinct seeds is
-	// comfortably past it).
-	var foreign []*httptest.Server
-	for i := int64(0); i < 12; i++ {
-		_, ts := newTestServer(t, WithSeed(7200+i))
-		foreign = append(foreign, ts)
+	var others []*httptest.Server
+	for i := 0; i < 4; i++ {
+		_, ts := newTestServer(t, WithSeed(7100))
+		others = append(others, ts)
 	}
 
 	// Seed the experiments pool, then confirm the sweep simulated.
@@ -118,38 +113,74 @@ func TestMetricsExperimentsPoolMonotonicUnderScrape(t *testing.T) {
 		t.Fatalf("experiment run = %d, body %s", code, body)
 	}
 	_, mb := getBody(t, main.URL+"/metrics")
-	before := metricValue(t, mb, series)
+	before, last := metricValue(t, mb, simulated), metricValue(t, mb, requests)
 	if before == 0 {
 		t.Fatal("experiment sweep recorded no simulations in the experiments pool")
 	}
 
-	// Scrape everything concurrently while a second sweep runs on main.
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// A second sweep runs on main while every server is scraped.
+	swept := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(swept)
 		resp, err := http.Get(main.URL + "/v1/experiments/fig4")
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
-	for round := 0; round < 3; round++ {
-		for _, ts := range foreign {
-			wg.Add(1)
-			go func(url string) {
-				defer wg.Done()
+	var wg sync.WaitGroup
+	for _, ts := range others {
+		wg.Add(1)
+		go func(url string) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
 				resp, err := http.Get(url + "/metrics")
 				if err == nil {
 					resp.Body.Close()
 				}
-			}(ts.URL)
+			}
+		}(ts.URL)
+	}
+	for sweeping := true; sweeping; {
+		select {
+		case <-swept:
+			sweeping = false
+		default:
 		}
+		_, mb = getBody(t, main.URL+"/metrics")
+		v := metricValue(t, mb, requests)
+		if v < last {
+			t.Errorf("%s went backwards under concurrent scrapes: %d -> %d", requests, last, v)
+		}
+		last = v
 	}
 	wg.Wait()
 
-	_, mb = getBody(t, main.URL+"/metrics")
-	if after := metricValue(t, mb, series); after < before {
-		t.Errorf("%s regressed %d -> %d after foreign scrapes (scrape mutated the shared-profiler LRU)",
-			series, before, after)
+	if after := metricValue(t, mb, simulated); after < before {
+		t.Errorf("%s regressed %d -> %d under concurrent scrapes", simulated, before, after)
+	}
+}
+
+// TestStandaloneServersOwnTheirPools: two standalone servers with
+// identical flags in one process keep separate scenario caches, so a
+// sweep on one leaves the other's experiments-pool counters at zero.
+func TestStandaloneServersOwnTheirPools(t *testing.T) {
+	_, a := newTestServer(t)
+	_, b := newTestServer(t)
+	if code, body := getBody(t, a.URL+"/v1/experiments/large-on-p2"); code != http.StatusOK {
+		t.Fatalf("experiment run = %d, body %s", code, body)
+	}
+	_, ma := getBody(t, a.URL+"/metrics")
+	if v := metricValue(t, ma, `stashd_scenarios_simulated_total{pool="experiments"}`); v == 0 {
+		t.Fatal("the sweep recorded no simulations on the server that ran it")
+	}
+	_, mb := getBody(t, b.URL+"/metrics")
+	for _, series := range []string{
+		`stashd_scenario_requests_total{pool="experiments"}`,
+		`stashd_scenarios_simulated_total{pool="experiments"}`,
+		`stashd_scenario_cache_hits_total{pool="experiments"}`,
+	} {
+		if v := metricValue(t, mb, series); v != 0 {
+			t.Errorf("%s = %d on a server that ran nothing; another server's sweep leaked into its pool", series, v)
+		}
 	}
 }

@@ -18,11 +18,10 @@ import (
 // shutdown — stays with the caller, who created it and owns its
 // listener.
 //
-// In cluster mode the experiments pool becomes a per-server profiler
-// (experiments.Config.Pool) instead of the process-wide shared one:
-// each replica must see only its own scenario cache and counters, or
-// the single-flight audit could not distinguish a remote hit from a
-// shared-memory hit.
+// Cluster mode keeps the server's own two pools and attaches a remote
+// resolver to each, so a cache miss consults the ring. Every replica
+// sees only its own scenario cache and counters, which is what lets the
+// single-flight audit tell a remote hit from a local one.
 func WithCluster(node *cluster.Node) Option {
 	return func(s *Server) { s.clusterNode = node }
 }

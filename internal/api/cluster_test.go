@@ -13,8 +13,6 @@ import (
 
 	"stash/internal/audit"
 	"stash/internal/cluster"
-	"stash/internal/core"
-	"stash/internal/experiments"
 	"stash/internal/report"
 )
 
@@ -119,16 +117,7 @@ func singleNodeSweepResult(t *testing.T) ([]byte, int64) {
 	if code != http.StatusOK {
 		t.Fatalf("single-node sweep result = %d: %s", code, body)
 	}
-	return body, s.expStats().Simulated
-}
-
-// expStats snapshots the server's experiments-pool scheduler counters
-// (the private cluster pool when one exists, the shared one otherwise).
-func (s *Server) expStats() core.Stats {
-	if s.expCfg.Pool != nil {
-		return s.expCfg.Pool.Stats()
-	}
-	return experiments.SchedulerStats(s.expCfg)
+	return body, s.expCfg.Pool.Stats().Simulated
 }
 
 // renderedTables decodes a JobExperimentsResult wire body and renders
@@ -190,7 +179,7 @@ func TestClusterSweepByteIdenticalAndSingleFlight(t *testing.T) {
 	replicas := make([]audit.ClusterReplica, len(h.servers))
 	var total int64
 	for i, s := range h.servers {
-		replicas[i] = audit.ClusterReplica{Name: fmt.Sprintf("replica-%d", i), Stats: s.expStats()}
+		replicas[i] = audit.ClusterReplica{Name: fmt.Sprintf("replica-%d", i), Stats: s.expCfg.Pool.Stats()}
 		total += replicas[i].Stats.Simulated
 	}
 	if res := audit.CheckClusterSingleFlight(replicas, unique); !res.Ok() {
@@ -203,7 +192,7 @@ func TestClusterSweepByteIdenticalAndSingleFlight(t *testing.T) {
 	// scenarios remotely or served them for peers.
 	var remote int64
 	for _, s := range h.servers {
-		remote += s.expStats().RemoteHits
+		remote += s.expCfg.Pool.Stats().RemoteHits
 	}
 	if remote == 0 && h.nodes[0].Metrics().Served == 0 {
 		t.Fatal("no cross-replica scenario traffic at all")

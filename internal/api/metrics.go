@@ -10,7 +10,6 @@ import (
 
 	"stash/internal/cluster"
 	"stash/internal/core"
-	"stash/internal/experiments"
 )
 
 // reqKey labels one request counter: endpoint name and response code.
@@ -21,11 +20,11 @@ type reqKey struct {
 
 // metrics aggregates the server's counters for /metrics: request
 // counts and latency per endpoint, the in-flight gauge, and the
-// scenario-scheduler counters of both profiler pools (the server's own
-// profile/recommend profiler and the shared experiments profiler).
+// scenario-scheduler counters of both profiler pools (the server's
+// profile/recommend profiler and its experiments profiler).
 type metrics struct {
 	profiler *core.Profiler
-	expCfg   experiments.Config
+	expPool  *core.Profiler
 	jobs     *jobStore
 	node     *cluster.Node // nil standalone; cluster series render zero
 
@@ -50,10 +49,10 @@ type metrics struct {
 	latCount map[string]int64
 }
 
-func newMetrics(p *core.Profiler, expCfg experiments.Config, jobs *jobStore, node *cluster.Node) *metrics {
+func newMetrics(p, expPool *core.Profiler, jobs *jobStore, node *cluster.Node) *metrics {
 	return &metrics{
 		profiler: p,
-		expCfg:   expCfg,
+		expPool:  expPool,
 		jobs:     jobs,
 		node:     node,
 		requests: make(map[reqKey]int64),
@@ -110,14 +109,14 @@ func (m *metrics) render() string {
 	fmt.Fprintf(&b, "stashd_inflight_requests %d\n", m.inflight.Load())
 
 	// Scenario-scheduler counters (core.Profiler.Stats) for both pools:
-	// "profile" backs /v1/profile + /v1/recommend, "experiments" is the
-	// suite's shared single-flight profiler.
+	// "profile" backs /v1/profile + /v1/recommend, "experiments" backs
+	// the experiment endpoints and jobs.
 	pools := []struct {
 		name  string
 		stats core.Stats
 	}{
 		{"profile", m.profiler.Stats()},
-		{"experiments", experiments.SchedulerStats(m.expCfg)},
+		{"experiments", m.expPool.Stats()},
 	}
 	b.WriteString("# HELP stashd_scenario_requests_total Scenario requests admitted to the scheduler.\n")
 	b.WriteString("# TYPE stashd_scenario_requests_total counter\n")
@@ -173,7 +172,7 @@ func (m *metrics) render() string {
 		stats map[string]core.Stats
 	}{
 		{"profile", m.profiler.TenantStats()},
-		{"experiments", experiments.SchedulerTenantStats(m.expCfg)},
+		{"experiments", m.expPool.TenantStats()},
 	}
 	b.WriteString("# HELP stashd_tenant_scenario_requests_total Scenario requests admitted, by tenant.\n")
 	b.WriteString("# TYPE stashd_tenant_scenario_requests_total counter\n")

@@ -31,12 +31,14 @@ func registryIDs() []string {
 // cache was warmed with foreign scenarios — if a key field were
 // missing, the warmed profiler would serve the wrong entry.
 func auditDeterminism(ctx context.Context, opts Options, res *Result) error {
-	serialCfg := experiments.Config{
-		Iterations: opts.Iterations, Seed: opts.Seed, Parallelism: 1,
-	}.WithContext(ctx)
-	parallelCfg := experiments.Config{
-		Iterations: opts.Iterations, Seed: opts.Seed, Parallelism: 8,
-	}.WithContext(ctx)
+	// Each side owns its scenario cache, so the parallel run and the
+	// rerun re-simulate instead of replaying the serial run's results.
+	cfg := func(parallelism int) experiments.Config {
+		return experiments.Config{
+			Iterations: opts.Iterations, Seed: opts.Seed, Parallelism: parallelism,
+		}.WithPool().WithContext(ctx)
+	}
+	serialCfg, parallelCfg, rerunCfg := cfg(1), cfg(8), cfg(1)
 
 	for _, id := range opts.Experiments {
 		if err := ctx.Err(); err != nil {
@@ -67,7 +69,7 @@ func auditDeterminism(ctx context.Context, opts Options, res *Result) error {
 		}
 		res.check(FamilyDeterminism, "serial-vs-parallel", serial == parallel,
 			"%s renders differently at parallelism 1 vs 8 (%d vs %d bytes)", id, len(serial), len(parallel))
-		rerun, err := renderExperiment(e, serialCfg)
+		rerun, err := renderExperiment(e, rerunCfg)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

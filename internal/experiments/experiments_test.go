@@ -5,12 +5,17 @@ import (
 	"strings"
 	"testing"
 
+	"stash/internal/cloud"
+	"stash/internal/core"
 	"stash/internal/report"
 )
 
 // fastCfg keeps experiment tests quick; stall ratios are deterministic
-// steady-state values, so a short window is exact.
-func fastCfg() Config { return Config{Iterations: 4, Seed: 1} }
+// steady-state values, so a short window is exact. Every test using it
+// shares fast's pool, so a scenario simulates once per package run.
+func fastCfg() Config { return fast }
+
+var fast = Config{Iterations: 4, Seed: 1}.WithPool()
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
@@ -321,14 +326,22 @@ func TestConfigNormalize(t *testing.T) {
 	}
 }
 
-func TestSharedProfilerReuse(t *testing.T) {
-	a := Config{Iterations: 4, Seed: 1}.profiler()
-	b := Config{Iterations: 4, Seed: 1}.profiler()
-	if a != b {
-		t.Error("same config should share a profiler")
+// TestConfigPool: a configuration's sweeps use its Pool; with no Pool,
+// or with extra options, each call builds a fresh profiler; WithPool
+// builds a pool per call.
+func TestConfigPool(t *testing.T) {
+	cfg := Config{Iterations: 4, Seed: 1}.WithPool()
+	if cfg.Pool == nil || cfg.profiler() != cfg.Pool {
+		t.Error("a configuration with a Pool must sweep on it")
 	}
-	c := Config{Iterations: 5, Seed: 1}.profiler()
-	if a == c {
-		t.Error("different configs must not share")
+	if cfg.profiler(core.WithSlicePolicy(cloud.SliceClean)) == cfg.Pool {
+		t.Error("extra options must build a fresh profiler, not reuse the Pool")
+	}
+	if again := cfg.WithPool(); again.Pool == cfg.Pool {
+		t.Error("WithPool must build a new pool")
+	}
+	bare := Config{Iterations: 4, Seed: 1}
+	if bare.profiler() == bare.profiler() {
+		t.Error("a configuration without a Pool must not share profilers between calls")
 	}
 }

@@ -3,9 +3,13 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"stash/internal/core"
 	"stash/internal/report"
 )
 
@@ -32,21 +36,28 @@ func renderAll(t *testing.T, cfg Config, id string) string {
 // TestParallelOutputByteIdentical is the scheduler's core contract:
 // rendered tables are byte-identical between the serial path and a wide
 // worker pool, for a representative figure and for the claim sweep.
+// Each side owns its pool, so both really simulate.
 func TestParallelOutputByteIdentical(t *testing.T) {
+	serialCfg := Config{Iterations: 4, Seed: 1, Parallelism: 1}.WithPool()
+	parallelCfg := Config{Iterations: 4, Seed: 1, Parallelism: 8}.WithPool()
 	for _, id := range []string{"fig11", "claims", "fig13", "network-variance"} {
-		serial := renderAll(t, Config{Iterations: 4, Seed: 1, Parallelism: 1}, id)
-		parallel := renderAll(t, Config{Iterations: 4, Seed: 1, Parallelism: 8}, id)
+		serial := renderAll(t, serialCfg, id)
+		parallel := renderAll(t, parallelCfg, id)
 		if serial != parallel {
 			t.Errorf("%s: parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				id, serial, parallel)
 		}
 	}
+	s, p := serialCfg.Pool.Stats().Simulated, parallelCfg.Pool.Stats().Simulated
+	if s == 0 || s != p {
+		t.Errorf("serial pool simulated %d scenarios, parallel pool %d; want the same non-zero count", s, p)
+	}
 }
 
 // TestRunManyOrderAndSharing checks the registry runner: results come
-// back in input order and reuse the configuration's shared profiler.
+// back in input order and every experiment sweeps on cfg.Pool.
 func TestRunManyOrderAndSharing(t *testing.T) {
-	cfg := Config{Iterations: 4, Seed: 1, Parallelism: 4}
+	cfg := Config{Iterations: 4, Seed: 1, Parallelism: 4}.WithPool()
 	exps := []Experiment{}
 	for _, id := range []string{"table1", "fig7", "table2", "multi-epoch"} {
 		e, err := ByID(id)
@@ -70,8 +81,25 @@ func TestRunManyOrderAndSharing(t *testing.T) {
 			t.Errorf("%s: no tables", r.Experiment.ID)
 		}
 	}
-	if st := SchedulerStats(cfg); st.Simulated == 0 {
-		t.Error("shared profiler saw no simulations — experiments not sharing it")
+	if st := cfg.Pool.Stats(); st.Simulated == 0 {
+		t.Error("the configuration's pool saw no simulations — experiments not sweeping on it")
+	}
+}
+
+// TestRunManyFillsNilPool: a batch run without a Pool still shares one
+// scenario cache across its experiments.
+func TestRunManyFillsNilPool(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[*core.Profiler]bool{}
+	probe := Experiment{ID: "probe", Run: func(c Config) ([]*report.Table, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen[c.Pool] = true
+		return nil, nil
+	}}
+	RunMany(Config{Parallelism: 4}, []Experiment{probe, probe, probe, probe})
+	if len(seen) != 1 || seen[nil] {
+		t.Errorf("RunMany handed its experiments %d distinct pools (nil among them: %v), want one", len(seen), seen[nil])
 	}
 }
 
@@ -95,53 +123,6 @@ func TestRunManyReportsPerExperimentErrors(t *testing.T) {
 	}
 	if results[1].Err != nil || len(results[1].Tables) == 0 {
 		t.Errorf("sibling experiment aborted: err=%v tables=%d", results[1].Err, len(results[1].Tables))
-	}
-}
-
-// TestSharedProfilerLRUBound: the shared map must not grow without
-// bound — distinct seeds beyond the cap evict the oldest entry, and a
-// re-requested evicted configuration gets a fresh profiler.
-func TestSharedProfilerLRUBound(t *testing.T) {
-	base := Config{Iterations: 7, Seed: 1000}
-	first := base.profiler()
-	for i := 1; i <= maxSharedProfilers; i++ {
-		c := base
-		c.Seed = base.Seed + int64(i)
-		c.profiler()
-	}
-	sharedProfilers.Lock()
-	size, order := len(sharedProfilers.m), len(sharedProfilers.order)
-	sharedProfilers.Unlock()
-	if size > maxSharedProfilers || order != size {
-		t.Fatalf("shared map size %d (order %d), cap %d", size, order, maxSharedProfilers)
-	}
-	if again := base.profiler(); again == first {
-		t.Error("evicted profiler still shared — LRU not evicting")
-	}
-}
-
-// TestSharedProfilerLRUTouch: re-using a configuration refreshes its
-// LRU position, so the hot profiler survives churn from other seeds.
-func TestSharedProfilerLRUTouch(t *testing.T) {
-	base := Config{Iterations: 9, Seed: 2000}
-	hot := base.profiler()
-	for i := 1; i < maxSharedProfilers; i++ {
-		c := base
-		c.Seed = base.Seed + int64(i)
-		c.profiler()
-		if base.profiler() != hot {
-			t.Fatalf("hot profiler evicted after %d other configs despite reuse", i)
-		}
-	}
-}
-
-// TestParallelismExcludedFromSharing: serial and parallel sweeps of the
-// same configuration must share one scenario cache.
-func TestParallelismExcludedFromSharing(t *testing.T) {
-	a := Config{Iterations: 6, Seed: 3000, Parallelism: 1}.profiler()
-	b := Config{Iterations: 6, Seed: 3000, Parallelism: 8}.profiler()
-	if a != b {
-		t.Error("Parallelism must not split the shared profiler cache")
 	}
 }
 
@@ -169,5 +150,36 @@ func TestForEachErrorDeterministic(t *testing.T) {
 		if err == nil || err.Error() != "cell 4 failed" {
 			t.Fatalf("trial %d: got %v, want cell 4's error", trial, err)
 		}
+	}
+}
+
+// TestNegativeParallelismRunsConcurrently: Parallelism < 0 must mean
+// GOMAXPROCS (core.ForEach's convention), not serial. Two cells
+// rendezvous inside the pool; if the pre-fix normalization mapped
+// negative to 1 they would run one after the other and the first would
+// time out waiting for the second.
+func TestNegativeParallelismRunsConcurrently(t *testing.T) {
+	// The rendezvous needs the pool sized >= 2, not physical cores:
+	// blocked goroutines interleave fine on one CPU.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	arrived := make(chan struct{}, 2)
+	release := make(chan struct{})
+	go func() {
+		<-arrived
+		<-arrived
+		close(release)
+	}()
+	cfg := Config{Parallelism: -1}
+	err := cfg.forEach(2, func(i int) error {
+		arrived <- struct{}{}
+		select {
+		case <-release:
+			return nil
+		case <-time.After(5 * time.Second):
+			return errors.New("rendezvous timed out: cells ran serially")
+		}
+	})
+	if err != nil {
+		t.Fatalf("negative parallelism did not run cells concurrently: %v", err)
 	}
 }

@@ -66,11 +66,14 @@ type RunResult struct {
 }
 
 // RunMany executes experiments on a worker pool bounded by
-// cfg.Parallelism. All experiments share the configuration's memoized
-// profiler, so overlapping cells (every figure re-measures the same
+// cfg.Parallelism. All experiments share cfg.Pool (a nil Pool is filled
+// by WithPool), so overlapping cells (every figure re-measures the same
 // step-1 baselines, for example) simulate once; results come back in
 // input order so callers print in paper order.
 func RunMany(cfg Config, exps []Experiment) []RunResult {
+	if cfg.Pool == nil {
+		cfg = cfg.WithPool()
+	}
 	results := make([]RunResult, len(exps))
 	// Experiment errors are reported per result, never aborting the
 	// sweep, so forEach's own error path stays unused here.
