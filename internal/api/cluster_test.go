@@ -49,11 +49,15 @@ func newClusterHarness(t *testing.T, n int, wrap func(i int, h http.Handler) htt
 	}
 	// Peer listeners first: their URLs are the cluster names. The
 	// handler indirects through h.nodes so the servers can exist before
-	// the nodes do.
+	// the nodes do. api.New starts a node, which contacts its peers at
+	// once, so handlers wait on ready until every h.nodes entry is set.
+	ready := make(chan struct{})
+	defer close(ready)
 	peers := make([]string, n)
 	for i := 0; i < n; i++ {
 		i := i
 		inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			<-ready
 			h.nodes[i].Handler().ServeHTTP(w, r)
 		})
 		var handler http.Handler = inner

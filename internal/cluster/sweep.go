@@ -137,10 +137,10 @@ func (n *Node) RunSweep(ctx context.Context, ids []string, tenant string, commit
 
 // next's outcomes.
 const (
-	sweepRun = iota // idx is marked running; compute it
-	sweepWait       // nothing pending, leases outstanding: wait
-	sweepDone       // every cell committed
-	sweepFailed     // the failure prefix is complete; s.failed is set
+	sweepRun    = iota // idx is marked running; compute it
+	sweepWait          // nothing pending, leases outstanding: wait
+	sweepDone          // every cell committed
+	sweepFailed        // the failure prefix is complete; s.failed is set
 )
 
 // next claims the first pending cell for the owner, or classifies why

@@ -70,6 +70,9 @@ type HostPipeline struct {
 	iops *simnet.Link
 	cpu  *simnet.Link
 	mode CacheMode
+
+	// One-link routes for the per-batch fetch flows, built once.
+	diskRoute, iopsRoute []*simnet.Link
 }
 
 // New builds a host pipeline on the machine's network. Node namespaces
@@ -103,7 +106,9 @@ func New(eng *sim.Engine, net *simnet.Network, node int, cfg Config) (*HostPipel
 		// Random small-file reads are bounded by the volume's operation
 		// budget as well as its byte throughput (one read op per sample).
 		hp.iops = net.NewLink(fmt.Sprintf("node%d/disk-iops", node), cfg.Storage.IOPS, 0)
+		hp.iopsRoute = []*simnet.Link{hp.iops}
 	}
+	hp.diskRoute = []*simnet.Link{hp.disk}
 	return hp, nil
 }
 
@@ -239,9 +244,9 @@ func (f *fetcher) step() {
 			if diskBytes <= 0 {
 				continue
 			}
-			f.read = hp.net.StartFlow(diskBytes, []*simnet.Link{hp.disk})
+			f.read = hp.net.StartFlow(diskBytes, hp.diskRoute)
 			if hp.iops != nil {
-				ops := hp.net.StartFlowLatency(batch*missFrac, []*simnet.Link{hp.iops}, 0)
+				ops := hp.net.StartFlowLatency(batch*missFrac, hp.iopsRoute, 0)
 				if done := ops.Done(); !done.Fired() {
 					done.OnFire(f.cont)
 					return

@@ -9,8 +9,10 @@ type Signal struct {
 	eng   *Engine
 	fired bool
 
-	// waiters holds OnFire continuations in arrival order, so they wake
-	// in exactly the order they registered.
+	// first and then waiters hold OnFire continuations in arrival order,
+	// so they wake in exactly the order they registered. The inline first
+	// slot keeps the common single wait allocation-free.
+	first   func()
 	waiters []func()
 }
 
@@ -32,11 +34,18 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	waiters := s.waiters
-	s.waiters = nil
-	for _, w := range waiters {
-		s.eng.Schedule(0, w)
+	if s.first == nil {
+		return // no waiters: OnFire fills first before waiters
 	}
+	s.eng.Schedule(0, s.first)
+	s.first = nil
+	// OnFire cannot append while fired, and Rearm keeps the backing array
+	// for the next arming.
+	for i, w := range s.waiters {
+		s.eng.Schedule(0, w)
+		s.waiters[i] = nil
+	}
+	s.waiters = s.waiters[:0]
 }
 
 // Rearm returns a fired signal to the unfired state so pooled owners
@@ -47,7 +56,7 @@ func (s *Signal) Fire() {
 // currently parked — re-arming an unfired signal that continuations are
 // waiting on is always a bug.
 func (s *Signal) Rearm() {
-	if len(s.waiters) != 0 {
+	if s.first != nil || len(s.waiters) != 0 {
 		panic("sim: Rearm on a signal with parked waiters")
 	}
 	s.fired = false
@@ -59,6 +68,10 @@ func (s *Signal) Rearm() {
 func (s *Signal) OnFire(fn func()) {
 	if s.fired {
 		fn()
+		return
+	}
+	if s.first == nil {
+		s.first = fn
 		return
 	}
 	s.waiters = append(s.waiters, fn)

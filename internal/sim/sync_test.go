@@ -40,6 +40,28 @@ func TestSignalAwaitAndFire(t *testing.T) {
 	}
 }
 
+// TestSignalWakeOrder pins that waiters wake in registration order for
+// one, two and three waiters (the inline first slot, then the overflow
+// list), also when a re-armed signal reuses its waiter storage.
+func TestSignalWakeOrder(t *testing.T) {
+	for n := 1; n <= 3; n++ {
+		e := NewEngine()
+		s := NewSignal(e)
+		for round := 0; round < 2; round++ {
+			var woke []int
+			for i := 0; i < n; i++ {
+				s.OnFire(func() { woke = append(woke, i) })
+			}
+			e.Schedule(time.Second, s.Fire)
+			run(t, e)
+			if want := fmt.Sprint([]int{0, 1, 2}[:n]); fmt.Sprint(woke) != want {
+				t.Errorf("%d waiters, round %d: woke %v, want %v", n, round, woke, want)
+			}
+			s.Rearm()
+		}
+	}
+}
+
 func TestAwaitAlreadyFired(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal(e)

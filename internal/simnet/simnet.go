@@ -8,9 +8,21 @@
 // simnet runs on the virtual clock of an internal/sim Engine. Rate
 // recomputation is coalesced: any number of flow arrivals and departures
 // at one instant trigger a single progressive-filling pass.
+//
+// Each Network memoises that pass. Progressive filling reads only the
+// ordered list of active routes and the link capacities, and capacities
+// are fixed at NewLink, so the rates are a pure function of the route
+// list. recompute encodes the list (each route's length, then its link
+// ids) as a key, re-encoding only the flows that arrived or moved since
+// the last solve, and on a hit copies the stored rates onto the flows in
+// order: the very floats the fill would compute, so a hit is exact.
+// Ring all-reduce replays the same route set at every step, so almost
+// every solve hits. The memo outlives Reset (links and their ids do) and
+// is cleared whenever it reaches maxMemoEntries.
 package simnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -22,11 +34,17 @@ import (
 // absorbing float rounding from repeated settlement.
 const epsilonBytes = 1e-6
 
+// maxMemoEntries bounds a network's rate memo: reaching it clears the
+// memo, which then refills from the route sets still in use.
+const maxMemoEntries = 4096
+
 // Link is a unidirectionally-modeled communication link with a fixed
 // capacity. (Full-duplex hardware is modeled as two Links or, where the
 // paper's contention story is about an aggregate bus budget, one shared
 // Link.)
 type Link struct {
+	net      *Network
+	id       int // index in net.links; names the link in memo keys
 	name     string
 	capacity float64 // bytes per second
 	latency  time.Duration
@@ -108,6 +126,18 @@ type Network struct {
 	completion sim.Event
 	dirty      bool
 
+	// memo maps an encoded active route list to the rates progressive
+	// filling assigns it, one per flow in n.flows order. memoKey is the
+	// encoding of n.flows[:keyed], flow i's part ending at keyEnds[i]:
+	// appends leave that prefix valid, and removeFlow cuts it back to
+	// the index it overwrites.
+	memo    map[string][]float64
+	memoKey []byte
+	keyEnds []int
+	keyed   int
+	// solves and memoHits count non-empty solves and memo hits.
+	solves, memoHits int
+
 	// Long-lived callbacks, bound once so the per-flow and per-settle
 	// scheduling operations never mint closures.
 	activateFn   func(arg any)
@@ -117,7 +147,7 @@ type Network struct {
 
 // New returns an empty network bound to the engine.
 func New(eng *sim.Engine) *Network {
-	n := &Network{eng: eng}
+	n := &Network{eng: eng, memo: make(map[string][]float64)}
 	n.activateFn = func(arg any) { n.activate(arg.(*Flow)) }
 	n.settleFn = func() {
 		n.dirty = false
@@ -133,7 +163,7 @@ func (n *Network) NewLink(name string, capacity float64, latency time.Duration) 
 	if capacity <= 0 {
 		panic(fmt.Sprintf("simnet: link %q capacity %v <= 0", name, capacity))
 	}
-	l := &Link{name: name, capacity: capacity, latency: latency}
+	l := &Link{net: n, id: len(n.links), name: name, capacity: capacity, latency: latency}
 	n.links = append(n.links, l)
 	return l
 }
@@ -151,7 +181,8 @@ func RouteLatency(route []*Link) time.Duration {
 // out the route's propagation latency, then competes for bandwidth. The
 // returned flow's Done signal fires on completion. A zero-byte flow
 // completes after the latency alone. Route must be non-empty unless
-// bytes == 0.
+// bytes == 0, every link on it must belong to this network, and it must
+// not be modified until the flow completes.
 func (n *Network) StartFlow(bytes float64, route []*Link) *Flow {
 	return n.StartFlowLatency(bytes, route, RouteLatency(route))
 }
@@ -166,6 +197,11 @@ func (n *Network) StartFlowLatency(bytes float64, route []*Link, latency time.Du
 	}
 	if len(route) == 0 && bytes > 0 {
 		panic("simnet: non-zero flow with empty route")
+	}
+	for _, l := range route {
+		if l.net != n {
+			panic(fmt.Sprintf("simnet: link %q belongs to another network", l.name))
+		}
 	}
 	if latency < 0 {
 		latency = 0
@@ -218,9 +254,10 @@ func (n *Network) Recycle(f *Flow) {
 
 // Reset returns the network to its just-constructed state while keeping
 // what is expensive to rebuild: the links (with statistics and
-// progressive-filling scratch zeroed) and the flow free list. Active and
-// latency-phase flows are dropped, not recycled — their completion state
-// is undefined once their events are gone. Reset must be paired with a
+// progressive-filling scratch zeroed), the flow free list and the rate
+// memo, whose keys name links that Reset keeps. Active and latency-phase
+// flows are dropped, not recycled — their completion state is undefined
+// once their events are gone. Reset must be paired with a
 // Reset of the owning engine (the network's pending settle/activate/
 // completion events have to die with it); the pair makes a pooled
 // (engine, network, topology) world byte-identical to a fresh build.
@@ -229,6 +266,7 @@ func (n *Network) Reset() {
 		n.flows[i] = nil
 	}
 	n.flows = n.flows[:0]
+	n.keyed = 0
 	n.lastSettle = 0
 	n.dirty = false
 	n.completion = sim.Event{}
@@ -265,6 +303,7 @@ func (n *Network) finish(f *Flow) {
 func (n *Network) removeFlow(f *Flow) {
 	last := len(n.flows) - 1
 	i := f.index
+	n.keyed = min(n.keyed, i)
 	n.flows[i] = n.flows[last]
 	n.flows[i].index = i
 	n.flows[last] = nil
@@ -286,6 +325,9 @@ func (n *Network) markDirty() {
 // their current rates.
 func (n *Network) settle() {
 	now := n.eng.Now()
+	if now == n.lastSettle {
+		return // dt would be 0
+	}
 	dt := (now - n.lastSettle).Seconds()
 	n.lastSettle = now
 	if dt <= 0 {
@@ -303,8 +345,8 @@ func (n *Network) settle() {
 	}
 }
 
-// recompute runs progressive filling to assign max-min fair rates, then
-// reschedules the next completion event.
+// recompute assigns max-min fair rates, then reschedules the next
+// completion event.
 func (n *Network) recompute() {
 	// Cancel of a stale or zero handle is a no-op, so no pending check.
 	n.eng.Cancel(n.completion)
@@ -312,7 +354,71 @@ func (n *Network) recompute() {
 	if len(n.flows) == 0 {
 		return
 	}
+	n.solve()
 
+	// Schedule the earliest completion.
+	next := math.Inf(1)
+	for _, f := range n.flows {
+		if f.rate <= 0 {
+			continue
+		}
+		if t := f.remaining / f.rate; t < next {
+			next = t
+		}
+	}
+	if math.IsInf(next, 1) {
+		return
+	}
+	// Clamp to a horizon far beyond any experiment but safely inside
+	// time.Duration's range; enormous flows re-settle there instead of
+	// overflowing into a negative (immediate) delay.
+	const maxHorizonSeconds = 1e9 // ~31 years
+	if next > maxHorizonSeconds {
+		next = maxHorizonSeconds
+	}
+	delay := time.Duration(math.Ceil(next * float64(time.Second)))
+	n.completion = n.eng.Schedule(delay, n.completionFn)
+}
+
+// solve assigns every active flow its max-min fair rate, from the memo
+// when the active route list has been solved before and by fill
+// otherwise.
+func (n *Network) solve() {
+	key := n.memoKey[:0]
+	if n.keyed > 0 {
+		key = n.memoKey[:n.keyEnds[n.keyed-1]]
+	}
+	n.keyEnds = n.keyEnds[:n.keyed]
+	for _, f := range n.flows[n.keyed:] {
+		key = binary.AppendUvarint(key, uint64(len(f.route)))
+		for _, l := range f.route {
+			key = binary.AppendUvarint(key, uint64(l.id))
+		}
+		n.keyEnds = append(n.keyEnds, len(key))
+	}
+	n.memoKey, n.keyed = key, len(n.flows)
+	n.solves++
+	if rates, ok := n.memo[string(key)]; ok {
+		n.memoHits++
+		for i, f := range n.flows {
+			f.rate = rates[i]
+		}
+		return
+	}
+	n.fill()
+	if len(n.memo) >= maxMemoEntries {
+		clear(n.memo)
+	}
+	rates := make([]float64, len(n.flows))
+	for i, f := range n.flows {
+		rates[i] = f.rate
+	}
+	n.memo[string(key)] = rates
+}
+
+// fill runs progressive filling over the active flows, the one solver
+// behind every rate the memo hands out.
+func (n *Network) fill() {
 	// Reset scratch state on links touched by active flows.
 	for _, f := range n.flows {
 		f.rate = 0
@@ -398,29 +504,6 @@ func (n *Network) recompute() {
 			}
 		}
 	}
-
-	// Schedule the earliest completion.
-	next := math.Inf(1)
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.remaining / f.rate; t < next {
-			next = t
-		}
-	}
-	if math.IsInf(next, 1) {
-		return
-	}
-	// Clamp to a horizon far beyond any experiment but safely inside
-	// time.Duration's range; enormous flows re-settle there instead of
-	// overflowing into a negative (immediate) delay.
-	const maxHorizonSeconds = 1e9 // ~31 years
-	if next > maxHorizonSeconds {
-		next = maxHorizonSeconds
-	}
-	delay := time.Duration(math.Ceil(next * float64(time.Second)))
-	n.completion = n.eng.Schedule(delay, n.completionFn)
 }
 
 func (n *Network) onCompletion() {

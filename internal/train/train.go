@@ -370,17 +370,17 @@ func newIterationPlan(job workload.Job, gpu hw.GPUSpec, buckets []collective.Buc
 // OnFire(w.cont), so the engine sees the exact event sequence the
 // coroutine produced without any goroutine handoffs.
 const (
-	wIterStart = iota // top of the iteration loop (warmup bookkeeping, data fetch)
-	wForward          // launch forward compute
-	wForwardDone      // forward finished; start backward
-	wSegOrTail        // next backward segment, or the tail when buckets are done
-	wSegDone          // segment finished; charge the DDP hook
-	wHookDone         // hook finished; issue the bucket's all-reduce
-	wIssue            // issue all-reduce, overlap or block per config
-	wBlockDone        // blocking (no-overlap) all-reduce finished
-	wTailDone         // backward tail finished; drain overlapped collectives
-	wDrain            // await pending all-reduces in issue order
-	wOptDone          // optimizer finished; next iteration
+	wIterStart   = iota // top of the iteration loop (warmup bookkeeping, data fetch)
+	wForward            // launch forward compute
+	wForwardDone        // forward finished; start backward
+	wSegOrTail          // next backward segment, or the tail when buckets are done
+	wSegDone            // segment finished; charge the DDP hook
+	wHookDone           // hook finished; issue the bucket's all-reduce
+	wIssue              // issue all-reduce, overlap or block per config
+	wBlockDone          // blocking (no-overlap) all-reduce finished
+	wTailDone           // backward tail finished; drain overlapped collectives
+	wDrain              // await pending all-reduces in issue order
+	wOptDone            // optimizer finished; next iteration
 )
 
 type worker struct {

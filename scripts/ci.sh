@@ -2,9 +2,9 @@
 # ci.sh — the repository's full verification gate.
 #
 # Tier-1 (ROADMAP.md) is `go build ./... && go test ./...`; this script
-# adds vet, the stashlint static determinism/concurrency gate, an
-# explicit build of every runnable (CLIs, stashd, each example), the
-# documentation checks (docs/API.md examples replayed against a live
+# adds vet, a gofmt check, the stashlint static determinism/concurrency
+# gate, an explicit build of every runnable (CLIs, stashd, each example),
+# the documentation checks (docs/API.md examples replayed against a live
 # server, markdown cross-references resolved), and a race-detector
 # pass — the real guard for the parallel scenario scheduler and the
 # stashd concurrency gate. Run from the repository root:
@@ -15,6 +15,17 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet ./..."
 go vet ./...
+
+# testdata/ is skipped: the lint fixtures pin the line numbers of their
+# expected findings, so they keep their own layout. .bench_build/ is the
+# benchmark's build cache.
+echo "==> gofmt -l (every Go file outside testdata/ is gofmt-clean)"
+unformatted="$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec gofmt -l {} +)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt needed on:"
+  echo "$unformatted"
+  exit 1
+fi
 
 echo "==> stashlint ./... (static determinism & concurrency analyzers)"
 go run ./cmd/stashlint -list
